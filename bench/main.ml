@@ -8,6 +8,9 @@
      dune exec bench/main.exe -- --full        # larger sample sizes
      dune exec bench/main.exe -- --list        # list experiment ids
 
+   An unknown flag, or a flag missing its value, prints the known flags
+   and exits 1.
+
    The first run builds per-architecture knowledge bases and caches them
    under bench_data/. *)
 
@@ -31,6 +34,22 @@ let experiments : (string * string * (unit -> unit)) list =
     ("dist", "distributed sweep benchmark (1/2/4 workers + fault injection)", Dist_bench.run);
     ("arch", "architecture-grid replay vs per-config simulation", Arch.run);
   ]
+
+let value_flags =
+  [ "-j"; "--jobs"; "--distribute"; "--tstore"; "--engine"; "--inject";
+    "--trace"; "--metrics" ]
+
+let known_flags =
+  "-j/--jobs N, --distribute N, --tstore DIR, --engine ref|flat|trace, \
+   --inject SPEC, --trace FILE, --metrics FILE, --json, --no-share, \
+   --full, --list"
+
+let usage_error fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "%s@.known flags: %s@." msg known_flags;
+      exit 1)
+    fmt
 
 let () =
   Obs.Clock.set Unix.gettimeofday;
@@ -104,6 +123,8 @@ let () =
             | exception Sys_error e ->
               Fmt.epr "cannot write metrics file: %s@." e);
       strip_opts rest
+    | [ flag ] when List.mem flag value_flags ->
+      usage_error "%s expects a value" flag
     | a :: rest -> a :: strip_opts rest
   in
   (try Engine.Faults.install_from_env ()
@@ -112,6 +133,11 @@ let () =
      exit 1);
   let args = strip_opts args in
   let flags, names = List.partition (fun a -> String.length a > 1 && a.[0] = '-') args in
+  List.iter
+    (fun f ->
+      if not (List.mem f [ "--full"; "--list" ]) then
+        usage_error "unknown flag %s" f)
+    flags;
   if List.mem "--full" flags then Util.scale := Util.Full;
   if List.mem "--list" flags then begin
     List.iter (fun (id, descr, _) -> Fmt.pr "%-6s %s@." id descr) experiments;

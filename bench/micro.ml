@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks of the hot paths: front end, pass application,
-   both execution engines (reference interpreter vs pre-decoded flat
-   engine, plain and under the machine simulator), feature extraction,
-   model queries.  One Test.make per component; throughput sanity rather
+   program identity (the IR digest), both execution engines (reference
+   interpreter vs pre-decoded flat engine, plain and under the machine
+   simulator), feature extraction, model queries.  One Test.make per component; throughput sanity rather
    than paper reproduction.
 
    With --json (see main.ml) the measured ns/run land in
@@ -46,6 +46,12 @@ let probe = Array.init 32 (fun i -> float_of_int i /. 32.0)
 let small_dec = Mira.Decode.decode small_prog
 let adpcm_dec = Mira.Decode.decode adpcm_prog
 
+(* Program identity on the largest initializers in the suite (~100k
+   words).  "after one pass" digests a pass result that shares its
+   arrays with the source, which is what every trie miss digests. *)
+let mcf_prog = Workloads.program (Workloads.by_name_exn "mcf_spars")
+let mcf_after_pass = Passes.Pass.apply Passes.Pass.Const_prop mcf_prog
+
 let tests =
   [
     Test.make ~name:"frontend: parse+typecheck+lower adpcm"
@@ -75,6 +81,10 @@ let tests =
       (Staged.stage (fun () -> Mach.Sim.run_decoded adpcm_dec));
     Test.make ~name:"decode: adpcm"
       (Staged.stage (fun () -> Mira.Decode.decode adpcm_prog));
+    Test.make ~name:"digest: mcf_spars"
+      (Staged.stage (fun () -> Engine.Pctrie.digest mcf_prog));
+    Test.make ~name:"digest: mcf_spars (after one pass)"
+      (Staged.stage (fun () -> Engine.Pctrie.digest mcf_after_pass));
     Test.make ~name:"features: extract from adpcm"
       (Staged.stage (fun () -> Icc.Features.extract adpcm_prog));
     Test.make ~name:"mlkit: knn predict (64x32)"

@@ -116,7 +116,7 @@ let hit_rate t =
 let ir_digest = Pctrie.digest
 
 (* The cache key binds everything the measurement depends on: program
-   text (via its printed IR), sequence, machine configuration, fuel, and
+   (via its IR digest), sequence, machine configuration, fuel, and
    the pass-set version (DESIGN.md: bump Pass.version when any pass's
    behaviour changes — that is the invalidation rule). *)
 let key_of t ~prog_digest seq =

@@ -120,8 +120,10 @@ val share : t -> bool
 (** the engine's compilation trie, [None] when sharing is off *)
 val trie : t -> Pctrie.t option
 
-(** hex digest of a program ({!Pctrie.digest}: printed IR plus the
-    printer-omitted state): the program part of cache keys *)
+(** hex digest of a program ({!Pctrie.digest}: a binary encoding of
+    the whole program value behind a version tag, with initializer
+    sub-digests memoized by physical identity): the program part of
+    every cache, trace-store and journal key *)
 val ir_digest : Mira.Ir.program -> string
 
 (** the full cache key of (program, sequence) under this engine *)

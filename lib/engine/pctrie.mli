@@ -5,7 +5,7 @@
     edges are passes; evaluating 88k sequences naively re-applies every
     shared prefix once per sequence.  This table collapses that walk:
     [apply] returns the memoized (result, result digest) when the same
-    pass was already applied to an IR with the same printed form, so
+    pass was already applied to an IR with the same digest, so
     each distinct (state, pass) edge is compiled exactly once.
 
     Soundness rests on passes being deterministic functions of the
@@ -15,11 +15,10 @@
     labels), each global's element type and initializers ([gelt] is
     rewritten by the packing pass based on [ginit]), and the program's
     [main] — two states printing identically can diverge downstream.
-    [digest] therefore hashes the printed IR together with all of that
-    hidden state; with that, the digest determines pass behaviour and
-    the memoized program behaves identically under every later pass
-    and the simulator as the one [Passes.Pass.apply] would have
-    rebuilt.
+    [digest] therefore hashes a binary encoding of the whole value;
+    with that, the digest determines pass behaviour and the memoized
+    program behaves identically under every later pass and the
+    simulator as the one [Passes.Pass.apply] would have rebuilt.
 
     Materialized IRs are the memory cost, so a bounded LRU (same
     touch/stamp discipline as {!Rcache}) caps residency; an evicted
@@ -35,10 +34,23 @@ val default_capacity : int
     memoized results (default {!default_capacity}). *)
 val create : ?capacity:int -> unit -> t
 
-(** hex MD5 of a program's printed IR plus the printer-omitted state
-    (fresh-name counters, global element types and initializers,
-    [main]) — the node identity.  (Engine's [ir_digest] is this
-    function.) *)
+(** hex MD5 of a version tag ([mira-ir-digest/2]) followed by a binary
+    encoding of the whole program value: [main]; each global's name, element type, size,
+    initializer length and initializer sub-digest (raw IEEE bits, so
+    [0.0] and [-0.0] differ); each function's name, params, [nregs],
+    entry, [nlabels], locals and blocks.  Variants are tagged, lists
+    and strings length-prefixed, so distinct programs have distinct
+    preimages.  This is the node identity (Engine's [ir_digest] is this
+    function).  Any change to the encoding must change the tag: every
+    engine key (Rcache, Tcache, Tstore, journals) derives from this
+    digest, so old entries become unreachable orphans rather than being
+    served.
+
+    Initializer sub-digests are memoized on the array's physical
+    identity, which relies on [Mira.Ir]'s invariant that [ginit] is
+    never mutated after lowering: programs derived from one source by
+    passes share their arrays, so only the first digest of the family
+    hashes them. *)
 val digest : Mira.Ir.program -> string
 
 (** [apply t p ~digest pass] is [Passes.Pass.apply pass p] together

@@ -73,7 +73,13 @@ type global = {
   gname : string;
   gelt : elt;
   gsize : int;
-  ginit : float array;  (** leading initializers (ints stored as floats) *)
+  ginit : float array;
+      (** leading initializers (ints stored as floats).  Never mutated
+          after lowering: the interpreters copy it into their memory
+          ([Decode] and [Interp] both do), and passes that rebuild a
+          global keep the same array.  [Engine.Pctrie.digest] memoizes
+          the array's sub-digest on its physical identity and relies
+          on this. *)
 }
 
 type program = { globals : global list; funcs : func SMap.t; main : string }
