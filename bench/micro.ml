@@ -1,8 +1,9 @@
 (* Bechamel microbenchmarks of the hot paths: front end, pass application,
    program identity (the IR digest), both execution engines (reference
    interpreter vs pre-decoded flat engine, plain and under the machine
-   simulator), feature extraction, model queries.  One Test.make per component; throughput sanity rather
-   than paper reproduction.
+   simulator), the trace-store codec, feature extraction, model queries.
+   One Test.make per component; throughput sanity rather than paper
+   reproduction.
 
    With --json (see main.ml) the measured ns/run land in
    BENCH_micro.json together with ref-vs-flat speedups, giving the bench
@@ -51,6 +52,23 @@ let adpcm_dec = Mira.Decode.decode adpcm_prog
    arrays with the source, which is what every trie miss digests. *)
 let mcf_prog = Workloads.program (Workloads.by_name_exn "mcf_spars")
 let mcf_after_pass = Passes.Pass.apply Passes.Pass.Const_prop mcf_prog
+
+(* The trace-store codec on mcf_spars's trace (~1.3M words).  Built on
+   first use, not at start-up, since every bench experiment links this
+   module; the round trip is checked once before anything is timed. *)
+let codec_tests () =
+  let tr = Mach.Mtrace.generate_program mcf_prog in
+  let enc = Mach.Mtrace.encode tr in
+  (match Mach.Mtrace.decode enc with
+  | Ok tr' when Mach.Mtrace.equal tr tr' -> ()
+  | Ok _ -> failwith "micro: codec round trip is not bit-exact"
+  | Error m -> failwith ("micro: codec round trip failed: " ^ m));
+  [
+    Test.make ~name:"codec: encode mcf_spars"
+      (Staged.stage (fun () -> Mach.Mtrace.encode tr));
+    Test.make ~name:"codec: decode mcf_spars"
+      (Staged.stage (fun () -> Mach.Mtrace.decode enc));
+  ]
 
 let tests =
   [
@@ -167,7 +185,9 @@ let run () =
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
   in
-  let test = Test.make_grouped ~name:"icc" ~fmt:"%s %s" tests in
+  let test =
+    Test.make_grouped ~name:"icc" ~fmt:"%s %s" (tests @ codec_tests ())
+  in
   let raw = Benchmark.all cfg instances test in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw) instances

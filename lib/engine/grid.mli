@@ -1,17 +1,17 @@
-(** Parallel architecture-grid replay: {!Mach.Sim.run_grid} lifted into
-    the engine layer, with the configs priced by {!Pool} workers and the
-    trace served through the {!Tcache} / {!Tstore} tiers.
+(** Architecture-grid pricing: {!Mach.Sim.run_grid} lifted into the
+    engine layer, with the trace served through the {!Tcache} /
+    {!Tstore} tiers.
 
-    Bit-identical to the serial path by construction: the trace is
-    fetched once in the parent, workers each fold one config's machine
-    model over it (inherited by fork), and any worker failure falls
-    back to an in-parent replay of that config. *)
+    Bit-identical to {!Mach.Sim.run_grid}: the trace is fetched once and
+    every config's machine model is folded over it in the calling
+    process. *)
 
 (** Price [p] against [configs].  The trace comes from [tcache] when
     given (consulting its durable {!Tstore} tier and writing fresh
     generations through), else from a direct {!Mach.Mtrace.generate}.
-    [jobs] > 1 forks that many {!Pool} workers over the configs
-    (default 1 = in-process, serial).
+    [jobs] is ignored — configs are always folded in the caller — and
+    is kept only so existing callers (the benchmark harness passes it)
+    still compile.
     @raise Mira.Interp.Trap on runtime errors
     @raise Mira.Interp.Out_of_fuel when the step budget is exhausted *)
 val run_grid :
@@ -20,12 +20,4 @@ val run_grid :
   ?tcache:Tcache.t ->
   configs:Mach.Config.t array ->
   Mira.Ir.program ->
-  Mach.Sim.result array
-
-(** replay an already-generated trace over [configs], parallelizing as
-    {!run_grid} does; re-raises a non-[Finished] trace's exception *)
-val replay_grid :
-  ?jobs:int ->
-  configs:Mach.Config.t array ->
-  Mach.Mtrace.t ->
   Mach.Sim.result array

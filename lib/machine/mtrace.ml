@@ -648,185 +648,308 @@ let generate_program ?fuel (p : Mira.Ir.program) : t =
    The payload carries no checksum: framing, integrity and versioning
    belong to the store (Tstore seals each entry with an MD5 prefix).
    [decode] still validates structurally — version byte, tags, bounds,
-   exact consumption — so a logically corrupt but checksum-valid entry
-   is reported as an error, never a crash. *)
+   canonical code, exact consumption — so a logically corrupt but
+   checksum-valid entry is reported as an error, never a crash.
+
+   Both event loops are hand-rolled for speed (a local position over a
+   growable Bytes / the input string); the rest of the record is small
+   and goes through the plain primitives. *)
 
 let codec_version = 1
 
-exception Corrupt of string
+(* what is wrong, at which byte; formatted only by [decode]'s handler,
+   so raising costs the event loop no call *)
+exception Corrupt of string * int
 
-let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
-
-let put_varint b v =
-  let rec go v =
-    if v land lnot 0x7f = 0 then Buffer.add_char b (Char.chr v)
-    else (
-      Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7))
-  in
-  if v < 0 then invalid_arg "Mtrace.put_varint: negative";
-  go v
+let[@inline] corrupt what at = raise (Corrupt (what, at))
 
 let zigzag i = (i lsl 1) lxor (i asr 62)
 let unzigzag v = (v lsr 1) lxor (-(v land 1))
-let put_zigzag b i = put_varint b (zigzag i)
 
-(* one event word: [cont:1][payload:5][tag:2], then LEB128 chunks *)
-let put_event b tag zz =
-  let lo = zz land 0x1f and rest = zz lsr 5 in
-  if rest = 0 then Buffer.add_char b (Char.chr ((lo lsl 2) lor tag))
-  else (
-    Buffer.add_char b (Char.chr (0x80 lor (lo lsl 2) lor tag));
-    put_varint b rest)
+(* Encoding writes into a growable byte buffer at an explicit position
+   and copies the used prefix out once at the end. *)
 
-let put_string b s =
-  put_varint b (String.length s);
-  Buffer.add_string b s
+type wr = { mutable buf : Bytes.t; mutable len : int }
 
-let put_float b f =
-  let bits = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bits (8 * i)) land 0xff))
-  done
+(* room for [k] more bytes *)
+let reserve w k =
+  if w.len + k > Bytes.length w.buf then begin
+    let cap = ref (2 * Bytes.length w.buf) in
+    while !cap < w.len + k do
+      cap := 2 * !cap
+    done;
+    let b = Bytes.create !cap in
+    Bytes.blit w.buf 0 b 0 w.len;
+    w.buf <- b
+  end
 
-let put_value b (v : Interp.value) =
+let put_byte w c =
+  reserve w 1;
+  Bytes.unsafe_set w.buf w.len (Char.unsafe_chr c);
+  w.len <- w.len + 1
+
+(* LEB128 of [v] taken as an unsigned 63-bit integer (at most 9 bytes),
+   written at [pos] into room the caller reserved; returns the position
+   after it *)
+let[@inline] uvarint_at b pos v =
+  let pos = ref pos and v = ref v in
+  while !v land lnot 0x7f <> 0 do
+    Bytes.unsafe_set b !pos (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
+    incr pos;
+    v := !v lsr 7
+  done;
+  Bytes.unsafe_set b !pos (Char.unsafe_chr !v);
+  !pos + 1
+
+let put_uvarint w v =
+  reserve w 9;
+  w.len <- uvarint_at w.buf w.len v
+
+let put_varint w v =
+  if v < 0 then invalid_arg "Mtrace.put_varint: negative";
+  put_uvarint w v
+
+(* zigzag is a bijection on 63-bit ints, so every int has a code *)
+let put_zigzag w i = put_uvarint w (zigzag i)
+let put_bool w x = put_byte w (if x then 1 else 0)
+
+let put_string w s =
+  let n = String.length s in
+  put_varint w n;
+  reserve w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+let put_float w f =
+  reserve w 8;
+  Bytes.set_int64_le w.buf w.len (Int64.bits_of_float f);
+  w.len <- w.len + 8
+
+let put_value w (v : Interp.value) =
   match v with
-  | Interp.VUndef -> Buffer.add_char b '\000'
+  | Interp.VUndef -> put_byte w 0
   | Interp.VInt i ->
-    Buffer.add_char b '\001';
-    put_zigzag b i
+    put_byte w 1;
+    put_zigzag w i
   | Interp.VFloat f ->
-    Buffer.add_char b '\002';
-    put_float b f
+    put_byte w 2;
+    put_float w f
   | Interp.VBool x ->
-    Buffer.add_char b '\003';
-    Buffer.add_char b (if x then '\001' else '\000')
+    put_byte w 3;
+    put_bool w x
   | Interp.VArr a ->
-    Buffer.add_char b '\004';
+    put_byte w 4;
     (match a.Interp.payload with
     | Interp.IA ia ->
-      Buffer.add_char b '\000';
-      put_varint b (Array.length ia);
-      Array.iter (put_zigzag b) ia
+      put_byte w 0;
+      put_varint w (Array.length ia);
+      Array.iter (put_zigzag w) ia
     | Interp.FA fa ->
-      Buffer.add_char b '\001';
-      put_varint b (Array.length fa);
-      Array.iter (put_float b) fa);
-    put_varint b a.Interp.base;
-    put_varint b a.Interp.esize;
-    Buffer.add_char b (if a.Interp.mask32 then '\001' else '\000')
+      put_byte w 1;
+      put_varint w (Array.length fa);
+      Array.iter (put_float w) fa);
+    put_varint w a.Interp.base;
+    put_varint w a.Interp.esize;
+    put_bool w a.Interp.mask32
+
+(* the longest event code: the tag byte, then the payload bits above
+   its 5 (< 2^57, since a delta's zigzag is < 2^62) in 9 LEB128 bytes *)
+let max_event_bytes = 10
 
 let encode (tr : t) : string =
-  let b = Buffer.create (tr.n + 256) in
-  Buffer.add_char b (Char.chr codec_version);
-  put_varint b tr.n;
-  let last = Array.make 4 0 in
+  if tr.n > Array.length tr.events then invalid_arg "Mtrace.encode: n";
+  let w = { buf = Bytes.create ((2 * tr.n) + 256); len = 0 } in
+  put_byte w codec_version;
+  put_varint w tr.n;
+  (* the event section: one word is [cont:1][payload:5][tag:2], then
+     LEB128 chunks of the rest of the zigzagged same-tag delta *)
+  let events = tr.events and last = Array.make 4 0 in
+  let buf = ref w.buf and pos = ref w.len in
   for i = 0 to tr.n - 1 do
-    let w = tr.events.(i) in
-    let tag = w land 3 and v = w lsr 2 in
-    put_event b tag (zigzag (v - last.(tag)));
-    last.(tag) <- v
+    if !pos + max_event_bytes > Bytes.length !buf then begin
+      w.len <- !pos;
+      reserve w max_event_bytes;
+      buf := w.buf
+    end;
+    let x = Array.unsafe_get events i in
+    let tag = x land 3 and v = x lsr 2 in
+    let zz = zigzag (v - Array.unsafe_get last tag) in
+    Array.unsafe_set last tag v;
+    let b = !buf and p = !pos in
+    let c = ((zz land 0x1f) lsl 2) lor tag and rest = zz lsr 5 in
+    if rest = 0 then begin
+      Bytes.unsafe_set b p (Char.unsafe_chr c);
+      pos := p + 1
+    end
+    else begin
+      Bytes.unsafe_set b p (Char.unsafe_chr (0x80 lor c));
+      pos := uvarint_at b (p + 1) rest
+    end
   done;
+  w.len <- !pos;
   let nsig = Array.length tr.sig_dst in
-  put_varint b nsig;
+  put_varint w nsig;
   for i = 0 to nsig - 1 do
-    put_zigzag b tr.sig_dst.(i);
-    put_varint b tr.sig_u0.(i);
-    put_varint b tr.sig_u1.(i)
+    put_zigzag w tr.sig_dst.(i);
+    put_varint w tr.sig_u0.(i);
+    put_varint w tr.sig_u1.(i)
   done;
-  put_varint b tr.max_reg;
-  put_varint b (Array.length tr.base);
-  Array.iter (put_varint b) tr.base;
+  put_varint w tr.max_reg;
+  put_varint w (Array.length tr.base);
+  Array.iter (put_varint w) tr.base;
   (match tr.outcome with
-  | Finished -> Buffer.add_char b '\000'
+  | Finished -> put_byte w 0
   | Trapped m ->
-    Buffer.add_char b '\001';
-    put_string b m
-  | Exhausted -> Buffer.add_char b '\002');
-  put_value b tr.ret;
-  put_string b tr.output;
-  put_varint b tr.steps;
-  Buffer.contents b
+    put_byte w 1;
+    put_string w m
+  | Exhausted -> put_byte w 2);
+  put_value w tr.ret;
+  put_string w tr.output;
+  put_varint w tr.steps;
+  Bytes.sub_string w.buf 0 w.len
 
-(* decoding reads from (s, pos); every primitive bounds-checks *)
+(* Decoding reads from (s, pos); every primitive bounds-checks and
+   accepts only the canonical code the encoder writes — no zero final
+   LEB128 byte after the first, booleans 0 or 1, in-range payloads — so
+   a payload decodes either to an error or to a trace whose encoding is
+   that payload again.  Counts are checked against the bytes left before
+   anything is allocated for them. *)
 
 type rd = { s : string; mutable pos : int }
 
 let rd_byte r =
-  if r.pos >= String.length r.s then corrupt "truncated at %d" r.pos;
-  let c = Char.code r.s.[r.pos] in
+  if r.pos >= String.length r.s then corrupt "truncated" r.pos;
+  let c = Char.code (String.unsafe_get r.s r.pos) in
   r.pos <- r.pos + 1;
   c
 
-let rd_varint r =
+let rd_uvarint r =
   let rec go shift acc =
-    if shift > 62 then corrupt "varint overflow at %d" r.pos;
+    if shift > 62 then corrupt "varint overflow" r.pos;
     let c = rd_byte r in
     let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else go (shift + 7) acc
+    if c land 0x80 <> 0 then go (shift + 7) acc
+    else if c = 0 && shift > 0 then corrupt "overlong varint" (r.pos - 1)
+    else acc
   in
   go 0 0
 
-let rd_zigzag r = unzigzag (rd_varint r)
+let rd_varint r =
+  let v = rd_uvarint r in
+  if v < 0 then corrupt "varint overflow" r.pos;
+  v
 
-let rd_event r =
-  let c = rd_byte r in
-  let tag = c land 3 and lo = (c lsr 2) land 0x1f in
-  let zz = if c land 0x80 = 0 then lo else lo lor (rd_varint r lsl 5) in
-  (tag, unzigzag zz)
+(* a count of items each at least [size] bytes long *)
+let rd_count r size =
+  let k = rd_varint r in
+  if k > (String.length r.s - r.pos) / size then corrupt "count overruns" r.pos;
+  k
+
+let rd_zigzag r = unzigzag (rd_uvarint r)
+
+let rd_bool r =
+  match rd_byte r with
+  | 0 -> false
+  | 1 -> true
+  | _ -> corrupt "bad boolean" (r.pos - 1)
 
 let rd_string r =
-  let len = rd_varint r in
-  if r.pos + len > String.length r.s then corrupt "string overruns at %d" r.pos;
+  let len = rd_count r 1 in
   let s = String.sub r.s r.pos len in
   r.pos <- r.pos + len;
   s
 
 let rd_float r =
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor !bits (Int64.shift_left (Int64.of_int (rd_byte r)) (8 * i))
-  done;
-  Int64.float_of_bits !bits
+  if r.pos + 8 > String.length r.s then corrupt "truncated" r.pos;
+  let f = Int64.float_of_bits (String.get_int64_le r.s r.pos) in
+  r.pos <- r.pos + 8;
+  f
 
 let rd_value r : Interp.value =
   match rd_byte r with
   | 0 -> Interp.VUndef
   | 1 -> Interp.VInt (rd_zigzag r)
   | 2 -> Interp.VFloat (rd_float r)
-  | 3 -> Interp.VBool (rd_byte r <> 0)
+  | 3 -> Interp.VBool (rd_bool r)
   | 4 ->
     let payload =
       match rd_byte r with
-      | 0 -> Interp.IA (Array.init (rd_varint r) (fun _ -> rd_zigzag r))
-      | 1 -> Interp.FA (Array.init (rd_varint r) (fun _ -> rd_float r))
-      | k -> corrupt "bad array payload kind %d" k
+      | 0 -> Interp.IA (Array.init (rd_count r 1) (fun _ -> rd_zigzag r))
+      | 1 -> Interp.FA (Array.init (rd_count r 8) (fun _ -> rd_float r))
+      | _ -> corrupt "bad array payload kind" (r.pos - 1)
     in
     let base = rd_varint r in
     let esize = rd_varint r in
-    let mask32 = rd_byte r <> 0 in
+    let mask32 = rd_bool r in
     Interp.VArr { Interp.payload; base; esize; mask32 }
-  | k -> corrupt "bad value tag %d" k
+  | _ -> corrupt "bad value tag" (r.pos - 1)
+
+(* The event section, read at a local position.  A same-tag value must
+   stay below 2^61 so that [(v lsl 2) lor tag] keeps every bit; the
+   LEB128 tail of a word must be canonical (a set continuation bit means
+   a nonzero tail, whose last byte is nonzero) and carry < 2^57.  Also
+   returns the largest signature id a simple run covers (-1 if none),
+   which the signature table must then hold. *)
+let rd_events r n : int array * int =
+  let s = r.s and len = String.length r.s in
+  let events = Array.make n 0 and last = Array.make 4 0 in
+  let pos = ref r.pos and top_sig = ref (-1) in
+  for i = 0 to n - 1 do
+    let p = !pos in
+    if p >= len then corrupt "truncated" p;
+    let c = Char.code (String.unsafe_get s p) in
+    let zz =
+      if c land 0x80 = 0 then begin
+        pos := p + 1;
+        (c lsr 2) land 0x1f
+      end
+      else if p + 1 < len
+              && Char.code (String.unsafe_get s (p + 1)) land 0x80 = 0
+      then begin
+        (* the common multi-byte case: a one-byte tail *)
+        let b = Char.code (String.unsafe_get s (p + 1)) in
+        if b = 0 then corrupt "overlong event" p;
+        pos := p + 2;
+        ((c lsr 2) land 0x1f) lor (b lsl 5)
+      end
+      else begin
+        let q = ref (p + 1) and shift = ref 0 and rest = ref 0 in
+        let fin = ref false in
+        while not !fin do
+          if !q >= len then corrupt "truncated" !q;
+          if !shift > 56 then corrupt "varint overflow" !q;
+          let b = Char.code (String.unsafe_get s !q) in
+          incr q;
+          rest := !rest lor ((b land 0x7f) lsl !shift);
+          if b land 0x80 <> 0 then shift := !shift + 7
+          else if b = 0 then corrupt "overlong event" p
+          else fin := true
+        done;
+        if !rest lsr 57 <> 0 then corrupt "event overflow" p;
+        pos := !q;
+        ((c lsr 2) land 0x1f) lor (!rest lsl 5)
+      end
+    in
+    let tag = c land 3 in
+    let v = Array.unsafe_get last tag + unzigzag zz in
+    if v lsr 61 <> 0 then corrupt "event payload out of range" p;
+    if tag = tag_simple then begin
+      let top = (v lsr run_bits) + (v land (run_max - 1)) in
+      if top > !top_sig then top_sig := top
+    end;
+    Array.unsafe_set last tag v;
+    Array.unsafe_set events i ((v lsl 2) lor tag)
+  done;
+  r.pos <- !pos;
+  (events, !top_sig)
 
 let decode (s : string) : (t, string) result =
   try
     let r = { s; pos = 0 } in
-    (match rd_byte r with
-    | v when v = codec_version -> ()
-    | v -> corrupt "codec version %d (want %d)" v codec_version);
-    let n = rd_varint r in
-    let events = Array.make n 0 in
-    let last = Array.make 4 0 in
-    for i = 0 to n - 1 do
-      let tag, d = rd_event r in
-      let v = last.(tag) + d in
-      if v < 0 then corrupt "negative payload at event %d" i;
-      last.(tag) <- v;
-      events.(i) <- (v lsl 2) lor tag
-    done;
-    let nsig = rd_varint r in
+    if rd_byte r <> codec_version then corrupt "unknown codec version" 0;
+    let n = rd_count r 1 in
+    let events, top_sig = rd_events r n in
+    let nsig = rd_count r 3 in
     let sig_dst = Array.make nsig 0 in
     let sig_u0 = Array.make nsig 0 in
     let sig_u1 = Array.make nsig 0 in
@@ -837,26 +960,36 @@ let decode (s : string) : (t, string) result =
     done;
     let max_reg = rd_varint r in
     let sentinel = max_reg + 1 in
+    (* the replay indexes its stamp table by these without bounds
+       checks: every register must fit under the sentinel, and every
+       signature an event runs over must define one *)
+    if top_sig >= nsig then corrupt "event past the signature table" r.pos;
+    for i = 0 to nsig - 1 do
+      if sig_u0.(i) > sentinel || sig_u1.(i) > sentinel
+         || sig_dst.(i) > max_reg
+         || (sig_dst.(i) < 0 && i <= top_sig)
+      then corrupt "signature register out of range" r.pos
+    done;
     let sig_uses =
       Array.init nsig (fun i ->
           if sig_u0.(i) = sentinel then [||]
           else if sig_u1.(i) = sentinel then [| sig_u0.(i) |]
           else [| sig_u0.(i); sig_u1.(i) |])
     in
-    let nbank = rd_varint r in
+    let nbank = rd_count r 1 in
+    if nbank <> Counters.count then corrupt "wrong counter bank size" r.pos;
     let base = Array.init nbank (fun _ -> rd_varint r) in
     let outcome =
       match rd_byte r with
       | 0 -> Finished
       | 1 -> Trapped (rd_string r)
       | 2 -> Exhausted
-      | k -> corrupt "bad outcome tag %d" k
+      | _ -> corrupt "bad outcome tag" (r.pos - 1)
     in
     let ret = rd_value r in
     let output = rd_string r in
     let steps = rd_varint r in
-    if r.pos <> String.length s then
-      corrupt "%d trailing bytes" (String.length s - r.pos);
+    if r.pos <> String.length s then corrupt "trailing bytes" r.pos;
     Ok
       {
         events;
@@ -872,7 +1005,7 @@ let decode (s : string) : (t, string) result =
         output;
         steps;
       }
-  with Corrupt m -> Error m
+  with Corrupt (what, at) -> Error (Printf.sprintf "%s at byte %d" what at)
 
 (* bit-exact trace equality (floats compared by bit pattern); the
    events *capacity* is allowed to differ — only [0, n) is meaningful *)

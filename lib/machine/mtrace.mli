@@ -128,8 +128,11 @@ val generate_program : ?fuel:int -> Mira.Ir.program -> t
 
     The payload carries no checksum — framing and integrity belong to
     the store — but {!decode} validates structurally (version, tags,
-    bounds, exact consumption) and returns [Error] rather than raising
-    on any malformed input. *)
+    bounds, exact consumption), accepts only the canonical code
+    {!encode} writes, and checks the signature table and counter bank
+    against what {!Replay} indexes without bounds checks.  It returns
+    [Error] rather than raising on any malformed input, and a payload it
+    accepts re-encodes to exactly itself. *)
 
 val codec_version : int
 

@@ -1,8 +1,8 @@
 (* The persistent trace store: codec round-trips (bit-exact, compact),
    cross-process persistence (add / close / reopen / find), torn-write
    quarantine and self-healing, absorb for distributed sweeps, the
-   write-through tier under Tcache, and the parallel grid replay's
-   bit-identity to the serial grid. *)
+   write-through tier under Tcache, and Engine.Grid's bit-identity to
+   Sim.run_grid. *)
 
 module Mtrace = Mach.Mtrace
 module Replay = Mach.Replay
@@ -117,7 +117,157 @@ let test_codec_rejects_garbage () =
     (Result.is_error (Mtrace.decode (String.sub s 0 (String.length s / 2))));
   Alcotest.(check bool)
     "trailing bytes" true
-    (Result.is_error (Mtrace.decode (s ^ "\x00")))
+    (Result.is_error (Mtrace.decode (s ^ "\x00")));
+  (* well-formed code for tables the replay would index out of bounds *)
+  let inconsistent name (tr : Mtrace.t) =
+    Alcotest.(check bool) name true
+      (Result.is_error (Mtrace.decode (Mtrace.encode tr)))
+  in
+  inconsistent "simple run past the signature table"
+    { tr with Mtrace.events = [| 5 lsl 10 |]; n = 1 };
+  inconsistent "use past the sentinel"
+    { tr with Mtrace.sig_u0 = Array.make (Array.length tr.Mtrace.sig_u0)
+                                 (tr.Mtrace.max_reg + 2) };
+  inconsistent "short counter bank"
+    { tr with Mtrace.base = Array.sub tr.Mtrace.base 0 3 }
+
+(* A small hand-built trace that exercises every corner of the v1 code:
+   all four tags, multi-byte LEB128 tails, a negative same-tag delta, a
+   trapped outcome, and array return values with int and float
+   payloads.  Its bytes are pinned below, so the encoder can only be
+   rewritten to write exactly what v1 stores already hold. *)
+let golden_trace =
+  let w tag v = (v lsl 2) lor tag in
+  {
+    Mtrace.events =
+      [|
+        w 0 1 (* simple run: signatures 0, 1 *);
+        w 1 16 (* long run: 3 x class 0 *);
+        w 2 200000 (* load at 100000: two tail bytes *);
+        w 2 199985 (* store at 99992: negative delta *);
+        w 3 15 (* branch site 7, taken *);
+        w 3 14 (* same site, not taken *);
+        w 0 256 (* simple run: signature 1 *);
+        0 (* capacity past n is not part of the trace *);
+      |];
+    n = 7;
+    sig_uses = [| [| 1; 2 |]; [||] |];
+    sig_dst = [| 3; 4 |];
+    sig_u0 = [| 1; 5 |];
+    sig_u1 = [| 2; 5 |];
+    max_reg = 4;
+    base = Array.init Mach.Counters.count (fun i -> i * i * 50);
+    outcome = Mtrace.Trapped "division by zero";
+    ret =
+      Mira.Interp.VArr
+        {
+          Mira.Interp.payload = Mira.Interp.IA [| 3; -2; 1 lsl 40 |];
+          base = 64;
+          esize = 8;
+          mask32 = false;
+        };
+    output = "45\n";
+    steps = 300;
+  }
+
+let golden_trace_fa =
+  {
+    golden_trace with
+    Mtrace.outcome = Mtrace.Finished;
+    ret =
+      Mira.Interp.VArr
+        {
+          Mira.Interp.payload = Mira.Interp.FA [| 1.5; -0.0 |];
+          base = 0;
+          esize = 4;
+          mask32 = true;
+        };
+  }
+
+let golden_hex =
+  "010708810182d461767b07f80f0206010208050504140032c801c203a006e209"
+  ^ "880e92138019d21f8827a22fa0388242c84cf2578064f270c87e828d01011064"
+  ^ "69766973696f6e206279207a65726f0400030603808080808040400800033435"
+  ^ "0aac02"
+
+let golden_fa_hex =
+  "010708810182d461767b07f80f0206010208050504140032c801c203a006e209"
+  ^ "880e92138019d21f8827a22fa0388242c84cf2578064f270c87e828d01000401"
+  ^ "02000000000000f83f00000000000000800004010334350aac02"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let to_hex s =
+  String.to_seq s
+  |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+  |> List.of_seq |> String.concat ""
+
+let goldens =
+  [ ("IA ret, trapped", golden_trace, golden_hex);
+    ("FA ret, finished", golden_trace_fa, golden_fa_hex) ]
+
+let test_codec_golden_bytes () =
+  List.iter
+    (fun (name, tr, hex) ->
+      Alcotest.(check string) (name ^ ": encode") hex (to_hex (Mtrace.encode tr));
+      match Mtrace.decode (of_hex hex) with
+      | Ok tr' ->
+        Alcotest.(check bool) (name ^ ": decode is bit-exact") true
+          (Mtrace.equal tr tr')
+      | Error m -> Alcotest.failf "%s: golden bytes do not decode: %s" name m)
+    goldens
+
+(* the hand-rolled decoder's bounds checks: every strict prefix is an
+   error, and every single-byte substitution is either an error or a
+   payload that re-encodes to exactly itself — never an exception *)
+let test_codec_prefixes_and_flips () =
+  let decode_no_raise name s =
+    match Mtrace.decode s with
+    | r -> r
+    | exception e ->
+      Alcotest.failf "%s: decode raised %s" name (Printexc.to_string e)
+  in
+  List.iter
+    (fun (name, _, hex) ->
+      let s = of_hex hex in
+      for k = 0 to String.length s - 1 do
+        if Result.is_ok (decode_no_raise name (String.sub s 0 k)) then
+          Alcotest.failf "%s: %d-byte prefix decoded" name k
+      done;
+      let accepted = ref 0 in
+      for i = 0 to String.length s - 1 do
+        for mask = 1 to 255 do
+          let b = Bytes.of_string s in
+          Bytes.set b i (Char.chr (Char.code s.[i] lxor mask));
+          let s' = Bytes.to_string b in
+          match decode_no_raise name s' with
+          | Error _ -> ()
+          | Ok tr ->
+            incr accepted;
+            if Mtrace.encode tr <> s' then
+              Alcotest.failf "%s: byte %d ^ %#x decodes to a different code"
+                name i mask
+        done
+      done;
+      (* most substitutions only change a value (a delta, a counter, a
+         string byte): those must decode, to a different trace *)
+      Alcotest.(check bool) (name ^ ": some substitutions decode") true
+        (!accepted > 0))
+    goldens
+
+(* values outside the 62-bit zigzag range still have a code *)
+let test_codec_extreme_ints () =
+  List.iter
+    (fun i ->
+      let tr = { golden_trace_fa with Mtrace.ret = Mira.Interp.VInt i } in
+      match Mtrace.decode (Mtrace.encode tr) with
+      | Ok tr' ->
+        Alcotest.(check bool) (Printf.sprintf "%d round-trips" i) true
+          (Mtrace.equal tr tr')
+      | Error m -> Alcotest.failf "%d: %s" i m)
+    [ max_int; min_int; 1 lsl 61; -(1 lsl 61) - 1; 0; -1 ]
 
 (* ------------------------------------------------------------------ *)
 (* persistence across a process boundary (open / close / reopen) *)
@@ -269,30 +419,46 @@ let test_tcache_write_through () =
     (Mtrace.equal tr tr')
 
 (* ------------------------------------------------------------------ *)
-(* parallel grid replay *)
+(* grid pricing *)
 
-let test_parallel_grid_bit_identical () =
+let same_sim (a : Mach.Sim.result) (b : Mach.Sim.result) =
+  Stdlib.compare
+    (a.Mach.Sim.cycles, a.Mach.Sim.counters, a.Mach.Sim.ret,
+     a.Mach.Sim.output, a.Mach.Sim.steps)
+    (b.Mach.Sim.cycles, b.Mach.Sim.counters, b.Mach.Sim.ret,
+     b.Mach.Sim.output, b.Mach.Sim.steps)
+  = 0
+
+let grid_sample = [ List.hd Workloads.all; List.nth Workloads.all 4 ]
+
+let test_grid_bit_identical () =
   let configs = Array.of_list Config.all in
   List.iter
     (fun (w : Workloads.t) ->
       let p = Workloads.program w in
       let serial = Mach.Sim.run_grid ~configs p in
-      let par = Engine.Grid.run_grid ~jobs:2 ~configs p in
-      Array.iteri
-        (fun i (a : Mach.Sim.result) ->
-          let b = par.(i) in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s on %s: parallel == serial grid"
-               w.Workloads.name configs.(i).Config.name)
-            true
-            (Stdlib.compare
-               (a.Mach.Sim.cycles, a.Mach.Sim.counters, a.Mach.Sim.ret,
-                a.Mach.Sim.output, a.Mach.Sim.steps)
-               (b.Mach.Sim.cycles, b.Mach.Sim.counters, b.Mach.Sim.ret,
-                b.Mach.Sim.output, b.Mach.Sim.steps)
-             = 0))
-        serial)
-    [ List.hd Workloads.all; List.nth Workloads.all 4 ]
+      List.iter
+        (fun jobs ->
+          let got = Engine.Grid.run_grid ~jobs ~configs p in
+          Array.iteri
+            (fun i a ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s on %s, jobs %d: == Sim.run_grid"
+                   w.Workloads.name configs.(i).Config.name jobs)
+                true (same_sim a got.(i)))
+            serial)
+        [ 1; 4 ])
+    grid_sample
+
+(* the configs are folded in the caller, whatever [jobs] says *)
+let test_grid_no_pool_task () =
+  let configs = Array.of_list Config.all in
+  let tasks = Obs.Metrics.counter "pool.tasks" in
+  let p = Workloads.program (List.hd grid_sample) in
+  let before = Obs.Metrics.value tasks in
+  ignore (Engine.Grid.run_grid ~jobs:1 ~configs p);
+  ignore (Engine.Grid.run_grid ~jobs:4 ~configs p);
+  Alcotest.(check int) "no pool task started" before (Obs.Metrics.value tasks)
 
 let test_parallel_grid_trap () =
   let p = compile trap_program in
@@ -317,19 +483,13 @@ let test_grid_from_store () =
   let cold = run () and warm = run () in
   let serial = Mach.Sim.run_grid ~configs p in
   Array.iteri
-    (fun i (a : Mach.Sim.result) ->
+    (fun i a ->
       List.iter
-        (fun ((b : Mach.Sim.result), leg) ->
+        (fun (b, leg) ->
           Alcotest.(check bool)
             (Printf.sprintf "%s on %s: %s grid == direct simulation"
                w.Workloads.name configs.(i).Config.name leg)
-            true
-            (Stdlib.compare
-               (a.Mach.Sim.cycles, a.Mach.Sim.counters, a.Mach.Sim.ret,
-                a.Mach.Sim.output, a.Mach.Sim.steps)
-               (b.Mach.Sim.cycles, b.Mach.Sim.counters, b.Mach.Sim.ret,
-                b.Mach.Sim.output, b.Mach.Sim.steps)
-             = 0))
+            true (same_sim a b))
         [ (cold.(i), "cold"); (warm.(i), "warm") ])
     serial
 
@@ -342,6 +502,10 @@ let suite =
         slow "round-trip: bit-exact, replayable, compact (suite + trap + fuel)"
           test_codec_round_trip;
         t "garbage is rejected, never crashes" test_codec_rejects_garbage;
+        t "golden bytes: v1 code pinned" test_codec_golden_bytes;
+        t "prefixes and byte flips: error or canonical, never raises"
+          test_codec_prefixes_and_flips;
+        t "extreme ints round-trip" test_codec_extreme_ints;
       ] );
     ( "store",
       [
@@ -352,8 +516,11 @@ let suite =
       ] );
     ( "grid",
       [
+        (* name kept from the forked grid: the serial reference is
+           [Sim.run_grid], checked at jobs 1 and 4 *)
         t "parallel grid == serial grid (bit-identical)"
-          test_parallel_grid_bit_identical;
+          test_grid_bit_identical;
+        t "no pool task started" test_grid_no_pool_task;
         t "parallel grid re-raises traps" test_parallel_grid_trap;
         t "store-backed grid across a reopen" test_grid_from_store;
       ] );
